@@ -48,7 +48,9 @@ timeline-check: build
 # a Chrome trace, validate both (schema fields, invariant verdicts,
 # balanced B/E events), and pin the report's schema outline against the
 # golden — values may drift, the shape may not.  Also snapshots the
-# benchmark harness's dpm-bench/1 JSON.
+# benchmark harness's dpm-bench/1 JSON, and pins the row names (first
+# column) of the --metrics stage and counter tables, so no stage or
+# counter is lost or renamed.
 report-check: build
 	dune exec bin/dpmsim.exe -- report -b swim --faults "$(FAULT_SPEC)" \
 	  -o _build/report.json --md _build/report.md --trace _build/report_trace.json
@@ -56,6 +58,10 @@ report-check: build
 	  --trace _build/report_trace.json --schema > _build/report_schema.out
 	cmp _build/report_schema.out test/golden/report_schema.expected
 	dune exec bench/main.exe -- table1 --json _build/bench.json > /dev/null
+	dune exec bin/dpmsim.exe -- simulate -b swim -s Base,CMDRPM --metrics \
+	  | awk '/^== Metrics/{t=1;next} t&&/^-+ /{r=1;next} /^$$/||/: /{r=0} r{print $$1}' \
+	  > _build/metrics_rows.out
+	cmp _build/metrics_rows.out test/golden/metrics_rows.expected
 
 # Streaming smoke: the fused generate→replay pipeline must be
 # byte-identical to the materialized path through the CLI — against the

@@ -15,6 +15,7 @@ open Cmdliner
 module Figures = Dpm_core.Figures
 module Metrics = Dpm_util.Metrics
 module Pool = Dpm_util.Pool
+module Telemetry = Dpm_util.Telemetry
 
 let available =
   [
@@ -41,11 +42,11 @@ let timings : (string * float) list ref = ref []
 
 let print_figure name f =
   let t0 = Metrics.now () in
-  let figure = Figures.traced name f in
-  let dt = Metrics.now () -. t0 in
-  timings := (name, dt) :: !timings;
-  if Metrics.enabled Metrics.global then
-    Metrics.record_span Metrics.global ("figure." ^ name) dt;
+  let figure =
+    Telemetry.span Telemetry.global ("figure." ^ name) (fun () ->
+        Figures.traced name f)
+  in
+  timings := (name, Metrics.now () -. t0) :: !timings;
   print_string figure.Figures.rendered;
   print_newline ()
 
@@ -586,8 +587,8 @@ let run names domains metrics json trace log_level baseline =
   Option.iter Pool.set_default_domains domains;
   Option.iter Dpm_util.Log.set_level log_level;
   (* The snapshot embeds the stage table, so --json implies --metrics. *)
-  if metrics || json <> None then Metrics.set_enabled Metrics.global true;
-  if trace <> None then Dpm_util.Telemetry.(set_tracing global true);
+  if metrics || json <> None then Telemetry.(set_metrics global true);
+  if trace <> None then Telemetry.(set_tracing global true);
   let total0 = Metrics.now () in
   let rc =
     match names with
@@ -633,7 +634,7 @@ let run names domains metrics json trace log_level baseline =
     Printf.printf "total wall time: %.3f s (domains=%d)\n"
       (Metrics.now () -. total0)
       (Pool.default_domains ());
-    print_string (Metrics.report Metrics.global)
+    print_string Telemetry.(metrics_report global)
   end;
   (match json with
   | None -> ()
@@ -658,7 +659,7 @@ let run names domains metrics json trace log_level baseline =
   | None -> ()
   | Some path ->
       let oc = open_out path in
-      Dpm_util.Telemetry.(write_chrome_trace global) oc;
+      Telemetry.(write_chrome_trace global) oc;
       close_out oc;
       Dpm_util.Log.info ~scope:"bench"
         ~kv:[ ("file", path) ]

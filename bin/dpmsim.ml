@@ -113,12 +113,12 @@ let log_level_arg =
 type instrument = { metrics : bool; trace : string option }
 
 (* Evaluates before the command body: applies the domain override and
-   switches the global collectors on; [finish_instrumentation] drains
-   them after the command. *)
+   switches the global registry on; [finish_instrumentation] drains it
+   after the command. *)
 let instrument_term =
   let apply domains metrics trace log_level =
     Option.iter Dpm_util.Pool.set_default_domains domains;
-    if metrics then Dpm_util.Metrics.(set_enabled global true);
+    if metrics then Dpm_util.Telemetry.(set_metrics global true);
     if trace <> None then Dpm_util.Telemetry.(set_tracing global true);
     Option.iter Dpm_util.Log.set_level log_level;
     { metrics; trace }
@@ -126,7 +126,7 @@ let instrument_term =
   Term.(const apply $ domains_arg $ metrics_arg $ trace_arg $ log_level_arg)
 
 let finish_instrumentation inst =
-  if inst.metrics then print_string Dpm_util.Metrics.(report global);
+  if inst.metrics then print_string Dpm_util.Telemetry.(metrics_report global);
   match inst.trace with
   | None -> ()
   | Some path -> (

@@ -3,7 +3,7 @@
    idle-gap structure, and prints the per-scheme normalized energy and
    execution time (the Figure 3/4 shape, via [Sweep.normalized_table]). *)
 
-module Metrics = Dpm_util.Metrics
+module Telemetry = Dpm_util.Telemetry
 module Run = Dpm_core.Run
 module Scheme = Dpm_core.Scheme
 module Sweep = Dpm_core.Sweep
@@ -17,21 +17,20 @@ let () =
   let rows = ref [] in
   List.iter
     (fun (spec : Dpm_workloads.Suite.spec) ->
-      let t0 = Metrics.now () in
-      let p, plan = Dpm_core.Experiment.workload spec in
-      let setup = Dpm_core.Experiment.make_setup ~noise:spec.noise () in
-      let results =
+      let t0 = Dpm_util.Metrics.now () in
+      let p, plan, setup, results =
+        Telemetry.span Telemetry.global ("tune." ^ spec.name) @@ fun () ->
+        let p, plan = Dpm_core.Experiment.workload spec in
+        let setup = Dpm_core.Experiment.make_setup ~noise:spec.noise () in
         match
           Run.exec_all (Run.of_experiment ~setup (Run.Program (p, plan)))
         with
-        | Ok results -> results
+        | Ok results -> (p, plan, setup, results)
         | Error e ->
             Dpm_util.Log.error ~scope:"tune" (Run.error_message e);
             exit 2
       in
-      let wall = Metrics.now () -. t0 in
-      if Metrics.enabled Metrics.global then
-        Metrics.record_span Metrics.global ("tune." ^ spec.name) wall;
+      let wall = Dpm_util.Metrics.now () -. t0 in
       let base = List.assoc Scheme.Base results in
       let mb =
         Dpm_util.Units.mb_of_bytes (Dpm_ir.Program.total_data_bytes p)

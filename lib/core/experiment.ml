@@ -2,7 +2,6 @@ module Sim = Dpm_sim
 module Compiler = Dpm_compiler
 module Trace = Dpm_trace
 module Workloads = Dpm_workloads
-module Metrics = Dpm_util.Metrics
 module Telemetry = Dpm_util.Telemetry
 
 type setup = {

@@ -29,29 +29,28 @@ val document :
   version:Dpm_compiler.Pipeline.version ->
   faults:Dpm_sim.Fault.spec ->
   sim:Dpm_sim.Config.t ->
-  ?histograms:(string * Dpm_util.Histo.t) list ->
-  ?metrics:Dpm_util.Metrics.t ->
+  ?telemetry:Dpm_util.Telemetry.t ->
   timeline_of:(Scheme.t -> Dpm_sim.Timeline.t) ->
   (Scheme.t * Dpm_sim.Result.t) list ->
   Dpm_util.Json.t
 (** Assemble a {!schema_version} document from already-executed results
     plus their per-scheme timelines.  [Base] anchors the normalized
-    columns when present, otherwise the first result does.  [histograms]
-    (default none) and [metrics] (default none → empty [stages] /
-    [counters] arrays) supply the collector-backed sections — the
-    service omits them because the process-wide collectors are shared
-    across concurrent jobs, and a job's response must be a function of
-    the job alone.  The document shape is identical either way. *)
+    columns when present, otherwise the first result does.  [telemetry]
+    supplies the registry-backed [histograms], [stages] and [counters]
+    sections (default none → empty arrays) — the service omits it
+    because the process-wide registry is shared across concurrent jobs,
+    and a job's response must be a function of the job alone.  The
+    document shape is identical either way. *)
 
 val of_spec :
   ?force_base:bool -> Run.spec -> (Dpm_util.Json.t, Run.error) result
 (** Execute an arbitrary {!Run.spec} with per-scheme timeline sinks and
-    the process-wide histogram/metrics collectors enabled (flags
+    the process-wide registry's histograms and metrics enabled (flags
     restored afterwards), and build its report document.  [force_base]
     (default false) adds [Base] to the scheme set first.  This is the
     single report path: {!run} is [of_spec ~force_base:true] of a
     benchmark spec, and a daemon job is the same value reported without
-    the shared collectors (see {!document}). *)
+    the shared registry (see {!document}). *)
 
 val run :
   ?schemes:Scheme.t list ->
@@ -63,8 +62,8 @@ val run :
   (Dpm_util.Json.t, Run.error) result
 (** [run benchmark] simulates the benchmark under [schemes] (default:
     all seven; Base joins the set either way, it anchors the normalized
-    columns) and builds the report document.  Metrics and telemetry
-    histograms are enabled for the duration and restored afterwards;
+    columns) and builds the report document.  The registry's metrics
+    and histograms are enabled for the duration and restored afterwards;
     recording is observational, so the simulated numbers are the ones
     every other entry point produces.  [sim] replaces the simulator
     configuration (default {!Dpm_sim.Config.default}): a non-FCFS
@@ -85,14 +84,12 @@ val validate : Dpm_util.Json.t -> (unit, string list) result
     carry no collector sections).  Used by [dpmsim report-check]. *)
 
 val bench_snapshot :
-  ?histograms:bool ->
   ?extra:(string * Dpm_util.Json.t) list ->
   figures:(string * float) list ->
   unit ->
   Dpm_util.Json.t
 (** [bench_snapshot ~figures ()] packages per-figure wall-clock seconds
-    with the global stage/counter tables (and, when [histograms], the
-    registered histogram quantiles) as a {!bench_schema_version}
+    with the global stage/counter tables as a {!bench_schema_version}
     document.  [extra] fields are appended verbatim (the harness's
     streaming-vs-materialized memory comparison rides along there). *)
 

@@ -51,7 +51,7 @@ let capacity t = t.queue
    metered jobs) to the spec, run it through the service's runner
    (default [Run.exec_all] — which is what makes daemon runs
    bit-identical to direct execution), and assemble the dpm-report/1
-   document.  No shared collectors: the report must be a function of the
+   document.  No shared registry: the report must be a function of the
    job alone, concurrent neighbours notwithstanding. *)
 let execute t job =
   let ( let* ) = Result.bind in
@@ -284,18 +284,31 @@ module Net = struct
         in
         Unix.ADDR_INET (ip, port)
 
-  (* One frame = one JSON object on one line.  The per-connection mutex
-     serializes handler-thread frames against worker-thread sample
-     frames (their writes are also ordered by the job's lifecycle, but
-     the lock keeps the invariant local and obvious). *)
-  let write_frame mu oc j =
-    Mutex.lock mu;
+  (* The write side of one client connection.  The mutex serializes
+     handler-thread frames against worker-thread sample frames (their
+     writes are also ordered by the job's lifecycle, but the lock keeps
+     the invariant local and obvious). *)
+  type conn = { mu : Mutex.t; oc : out_channel; mutable alive : bool }
+
+  (* One frame = one JSON object on one line.  A client that hung up
+     (EPIPE/ECONNRESET surface as [Sys_error] once SIGPIPE is ignored)
+     marks the connection dead: its later frames, sample frames written
+     from a worker included, are dropped, and the job runs on. *)
+  let write_frame c j =
+    Mutex.lock c.mu;
     Fun.protect
-      ~finally:(fun () -> Mutex.unlock mu)
+      ~finally:(fun () -> Mutex.unlock c.mu)
       (fun () ->
-        output_string oc (Json.to_string j);
-        output_char oc '\n';
-        flush oc)
+        if c.alive then
+          try
+            output_string c.oc (Json.to_string j);
+            output_char c.oc '\n';
+            flush c.oc
+          with Sys_error m ->
+            c.alive <- false;
+            Dpm_util.Log.warn ~scope:"serve" ~kv:[ ("error", m) ]
+              "client disconnected; dropping its frames";
+            Dpm_util.Telemetry.(count global) "service.dropped_connections")
 
   let sample_frame ~job ~scheme (s : Sim.Meter.sample) =
     Json.Obj
@@ -367,8 +380,7 @@ module Net = struct
   let handle_conn service stop fd =
     let ic = Unix.in_channel_of_descr fd in
     let oc = Unix.out_channel_of_descr (Unix.dup fd) in
-    let mu = Mutex.create () in
-    let write = write_frame mu oc in
+    let write = write_frame { mu = Mutex.create (); oc; alive = true } in
     let rec loop () =
       match input_line ic with
       | exception (End_of_file | Sys_error _) -> ()
@@ -411,6 +423,8 @@ module Net = struct
       loop
 
   let serve ?(backlog = 16) service address =
+    (* A client closing early must cost its own frames, not the daemon. *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     (match address with
     | Unix_path p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
     | Tcp _ -> ());

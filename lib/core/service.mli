@@ -118,8 +118,11 @@ module Net : sig
   val serve : ?backlog:int -> t -> address -> unit
   (** Bind, listen and serve until a client sends the [shutdown] op;
       drains the service ({!shutdown}) before returning.  A stale Unix
-      socket path is replaced.  Raises [Unix.Unix_error] on bind
-      failures. *)
+      socket path is replaced.  SIGPIPE is ignored process-wide: a
+      client that disconnects early loses its remaining frames (one
+      [warn] line, one [service.dropped_connections] count in
+      {!Dpm_util.Telemetry.global}) while its job runs to completion.
+      Raises [Unix.Unix_error] on bind failures. *)
 
   type client
 

@@ -17,32 +17,28 @@ let retries_before = Observe.retries_before
    queues and dispatches by discipline. *)
 let replay = Sched.replay
 
-let record_replay metrics (result : Result.t) =
-  Dpm_util.Metrics.add metrics "sim.requests" (Result.requests result);
-  Dpm_util.Metrics.count metrics "sim.runs";
+let record_replay (result : Result.t) =
+  let add = Dpm_util.Telemetry.(add global) in
+  add "sim.requests" (Result.requests result);
+  add "sim.runs" 1;
   let f = result.Result.faults in
-  if f.Result.read_retries > 0 then
-    Dpm_util.Metrics.add metrics "sim.fault.retries" f.Result.read_retries;
-  if f.Result.remaps > 0 then
-    Dpm_util.Metrics.add metrics "sim.fault.remaps" f.Result.remaps;
+  if f.Result.read_retries > 0 then add "sim.fault.retries" f.Result.read_retries;
+  if f.Result.remaps > 0 then add "sim.fault.remaps" f.Result.remaps;
   if f.Result.spin_up_recoveries > 0 then
-    Dpm_util.Metrics.add metrics "sim.fault.spinup_recoveries"
-      f.Result.spin_up_recoveries;
-  if f.Result.redirects > 0 then
-    Dpm_util.Metrics.add metrics "sim.fault.redirects" f.Result.redirects
+    add "sim.fault.spinup_recoveries" f.Result.spin_up_recoveries;
+  if f.Result.redirects > 0 then add "sim.fault.redirects" f.Result.redirects
 
 type core = [ `Fast | `Reference ]
 
 let run_stream ?(config = Config.default) ?(mode = `Open)
-    ?(metrics = Dpm_util.Metrics.global) ?(faults = Fault.none) ?timeline
-    ?(core = `Fast) policy stream =
+    ?(faults = Fault.none) ?timeline ?(core = `Fast) policy stream =
   let fault =
     Fault.init faults ~ndisks:(Stream.ndisks stream)
       ~nblocks:(lazy (Stream.nblocks stream))
   in
   let obs = make_obs () in
   let result =
-    Dpm_util.Telemetry.span ~metrics
+    Dpm_util.Telemetry.span
       ~args:(fun () ->
         [
           ("scheme", policy.Policy.name); ("program", Stream.program stream);
@@ -52,15 +48,18 @@ let run_stream ?(config = Config.default) ?(mode = `Open)
         match core with
         | `Fast when Fastpath.supported ~config policy ->
             Fastpath.replay ~config ~mode ~fault ~timeline ~obs policy stream
-        | `Fast | `Reference ->
+        | `Fast ->
+            Dpm_util.Telemetry.(count global) "sim.fallbacks";
+            replay ~config ~mode ~fault ~timeline ~obs policy stream
+        | `Reference ->
             replay ~config ~mode ~fault ~timeline ~obs policy stream)
   in
   flush_obs obs result;
-  record_replay metrics result;
+  record_replay result;
   result
 
-let run ?config ?mode ?metrics ?faults ?timeline ?core policy trace =
-  run_stream ?config ?mode ?metrics ?faults ?timeline ?core policy
+let run ?config ?mode ?faults ?timeline ?core policy trace =
+  run_stream ?config ?mode ?faults ?timeline ?core policy
     (Stream.of_trace trace)
 
 (* --- Multiprogrammed replay --- *)
@@ -285,8 +284,7 @@ let replay_many ~config ~mode ~fault ~timeline ~obs (policy : Policy.t)
       }
 
 let run_many_stream ?(config = Config.default) ?(mode = `Open)
-    ?(metrics = Dpm_util.Metrics.global) ?(faults = Fault.none) ?timeline
-    policy streams =
+    ?(faults = Fault.none) ?timeline policy streams =
   let ndisks =
     match streams with
     | [] -> invalid_arg "Engine.run_many: no traces"
@@ -298,7 +296,7 @@ let run_many_stream ?(config = Config.default) ?(mode = `Open)
   let fault = Fault.init faults ~ndisks ~nblocks in
   let obs = make_obs () in
   let result =
-    Dpm_util.Telemetry.span ~metrics
+    Dpm_util.Telemetry.span
       ~args:(fun () ->
         [
           ("scheme", policy.Policy.name);
@@ -311,9 +309,9 @@ let run_many_stream ?(config = Config.default) ?(mode = `Open)
         replay_many ~config ~mode ~fault ~timeline ~obs policy streams)
   in
   flush_obs obs result;
-  record_replay metrics result;
+  record_replay result;
   result
 
-let run_many ?config ?mode ?metrics ?faults ?timeline policy traces =
-  run_many_stream ?config ?mode ?metrics ?faults ?timeline policy
+let run_many ?config ?mode ?faults ?timeline policy traces =
+  run_many_stream ?config ?mode ?faults ?timeline policy
     (List.map Stream.of_trace traces)

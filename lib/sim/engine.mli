@@ -29,8 +29,8 @@ type mode = [ `Open | `Closed ]
 type core = [ `Fast | `Reference ]
 (** Replay core selection.  [`Fast] (the default) runs the specialized
     structure-of-arrays loop ({!Fastpath}) whenever the policy's shape
-    supports it, falling back to the reference body otherwise;
-    [`Reference] forces the record-at-a-time reference body.  The two
+    supports it, falling back to the reference body otherwise (each
+    fallback bumps the [sim.fallbacks] counter); [`Reference] forces the record-at-a-time reference body.  The two
     produce byte-identical results — energies, execution times, fault
     counters, gap choices, timelines, telemetry histograms — which the
     differential suite pins; [`Reference] exists as the oracle for
@@ -39,7 +39,6 @@ type core = [ `Fast | `Reference ]
 val run_stream :
   ?config:Config.t ->
   ?mode:mode ->
-  ?metrics:Dpm_util.Metrics.t ->
   ?faults:Fault.spec ->
   ?timeline:Timeline.sink ->
   ?core:core ->
@@ -61,7 +60,6 @@ val run_stream :
 val run_many_stream :
   ?config:Config.t ->
   ?mode:mode ->
-  ?metrics:Dpm_util.Metrics.t ->
   ?faults:Fault.spec ->
   ?timeline:Timeline.sink ->
   Policy.t ->
@@ -74,7 +72,6 @@ val run_many_stream :
 val run :
   ?config:Config.t ->
   ?mode:mode ->
-  ?metrics:Dpm_util.Metrics.t ->
   ?faults:Fault.spec ->
   ?timeline:Timeline.sink ->
   ?core:core ->
@@ -83,8 +80,8 @@ val run :
   Result.t
 (** Replays the whole trace and returns the outcome.  Wall time is
     recorded under the [sim.replay] span and the served request count
-    under the [sim.requests] counter of [metrics] (default
-    {!Dpm_util.Metrics.global}, a no-op unless enabled) — together they
+    under the [sim.requests] counter of {!Dpm_util.Telemetry.global} (a
+    no-op unless its metrics are on) — together they
     give the requests-simulated/sec throughput the harness reports.
 
     [faults] (default {!Fault.none}) injects deterministic faults at
@@ -108,7 +105,6 @@ val run :
 val run_many :
   ?config:Config.t ->
   ?mode:mode ->
-  ?metrics:Dpm_util.Metrics.t ->
   ?faults:Fault.spec ->
   ?timeline:Timeline.sink ->
   Policy.t ->

@@ -1,140 +1,1 @@
 external now : unit -> float = "dpm_metrics_monotonic_s"
-
-type span_stats = { mutable total : float; mutable calls : int }
-
-type t = {
-  mutex : Mutex.t;
-  spans : (string, span_stats) Hashtbl.t;
-  counters : (string, int ref) Hashtbl.t;
-  mutable on : bool;
-}
-
-let create ?(enabled = true) () =
-  {
-    mutex = Mutex.create ();
-    spans = Hashtbl.create 16;
-    counters = Hashtbl.create 16;
-    on = enabled;
-  }
-
-let global = create ~enabled:false ()
-let set_enabled t b = t.on <- b
-let enabled t = t.on
-
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-let record_span t name dt =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.spans name with
-      | Some s ->
-          s.total <- s.total +. dt;
-          s.calls <- s.calls + 1
-      | None -> Hashtbl.add t.spans name { total = dt; calls = 1 })
-
-let span t name f =
-  if not t.on then f ()
-  else begin
-    let t0 = now () in
-    Fun.protect ~finally:(fun () -> record_span t name (now () -. t0)) f
-  end
-
-let add t name n =
-  if t.on then
-    locked t (fun () ->
-        match Hashtbl.find_opt t.counters name with
-        | Some r -> r := !r + n
-        | None -> Hashtbl.add t.counters name (ref n))
-
-let count t name = add t name 1
-
-let span_total t name =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.spans name with Some s -> s.total | None -> 0.0)
-
-let span_calls t name =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.spans name with Some s -> s.calls | None -> 0)
-
-let counter t name =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0)
-
-let spans t =
-  locked t (fun () ->
-      Hashtbl.fold (fun k v acc -> (k, v.total, v.calls) :: acc) t.spans [])
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-
-let counters t =
-  locked t (fun () -> Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.counters [])
-  |> List.sort compare
-
-let rate t ~counter:c ~span:s =
-  let n = counter t c and dt = span_total t s in
-  if n = 0 || dt <= 0.0 then None else Some (float_of_int n /. dt)
-
-let reset t =
-  locked t (fun () ->
-      Hashtbl.reset t.spans;
-      Hashtbl.reset t.counters)
-
-(* Conventional counter/span pairs reported as throughputs. *)
-let throughputs =
-  [
-    ("requests simulated/s", "sim.requests", "sim.replay");
-    ("trace events generated/s", "trace.events", "trace.gen");
-  ]
-
-let report ?(title = "Metrics") t =
-  let spans = spans t and counters = counters t in
-  if spans = [] && counters = [] then ""
-  else begin
-    let buf = Buffer.create 256 in
-    (if spans <> [] then begin
-       let tbl =
-         Table.create
-           ~title:(title ^ ": per-stage wall time")
-           ~columns:
-             [
-               ("stage", Table.Left);
-               ("calls", Table.Right);
-               ("total(s)", Table.Right);
-               ("mean(ms)", Table.Right);
-             ]
-       in
-       (* Already name-sorted: rows must not depend on merge order or
-          relative timings, so --metrics output is stable across
-          --domains values. *)
-       List.iter
-         (fun (name, total, calls) ->
-           Table.add_row tbl
-             [
-               name;
-               string_of_int calls;
-               Table.cell_f3 total;
-               Table.cell_f3 (1000.0 *. total /. float_of_int calls);
-             ])
-         spans;
-       Buffer.add_string buf (Table.render tbl)
-     end);
-    (if counters <> [] then begin
-       let tbl =
-         Table.create
-           ~title:(title ^ ": counters")
-           ~columns:[ ("counter", Table.Left); ("value", Table.Right) ]
-       in
-       List.iter
-         (fun (name, v) -> Table.add_row tbl [ name; string_of_int v ])
-         counters;
-       Buffer.add_char buf '\n';
-       Buffer.add_string buf (Table.render tbl)
-     end);
-    List.iter
-      (fun (label, c, s) ->
-        match rate t ~counter:c ~span:s with
-        | Some r -> Buffer.add_string buf (Printf.sprintf "%s: %.0f\n" label r)
-        | None -> ())
-      throughputs;
-    Buffer.contents buf
-  end

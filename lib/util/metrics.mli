@@ -1,84 +1,6 @@
-(** Lightweight instrumentation: monotonic timers, counters and
-    per-stage spans.
-
-    A collector accumulates named spans (total wall time + call count)
-    and named counters, and renders them through {!Table} in the same
-    monospace style as the experiment reports.  All operations are
-    domain-safe — the pipeline stages record into one collector from
-    every {!Pool} worker — and cost one mutex acquisition per {e run},
-    not per event, so instrumentation never shows up in the numbers it
-    measures.
-
-    The {!global} collector is disabled by default, making every
-    recording call a cheap no-op; the CLI [--metrics] flag enables it
-    and prints {!report} at exit.  Stages that want explicit plumbing
-    instead take a [?metrics] argument defaulting to {!global}. *)
-
-type t
-(** A collector of spans and counters. *)
-
-val create : ?enabled:bool -> unit -> t
-(** Fresh collector; [enabled] defaults to [true]. *)
-
-val global : t
-(** Process-wide collector used when [?metrics] is omitted.  Starts
-    {e disabled}. *)
-
-val set_enabled : t -> bool -> unit
-(** Turns recording on or off.  While disabled, {!span} still runs its
-    thunk (without timing) and {!add}/{!count} do nothing. *)
-
-val enabled : t -> bool
+(** The monotonic clock every timer in the pipeline reads (the stage
+    and span records of {!Telemetry}, the benchmark harnesses). *)
 
 val now : unit -> float
 (** Monotonic time in seconds from an arbitrary origin, suitable only
     for differences. *)
-
-val span : t -> string -> (unit -> 'a) -> 'a
-(** [span t stage f] runs [f ()], accumulating its wall time and one
-    call under [stage].  Exceptions propagate; the span is still
-    recorded.  Nested and concurrent spans under the same name simply
-    accumulate. *)
-
-val record_span : t -> string -> float -> unit
-(** [record_span t stage dt] accumulates [dt] seconds and one call under
-    [stage] without running anything — {!Telemetry.span} times once and
-    feeds both its hierarchical record and this flat view.  Unlike
-    {!span}, this is unconditional: callers check {!enabled}. *)
-
-val add : t -> string -> int -> unit
-(** [add t counter n] bumps [counter] by [n]. *)
-
-val count : t -> string -> unit
-(** [count t counter] is [add t counter 1]. *)
-
-val span_total : t -> string -> float
-(** Accumulated seconds under a stage (0 if never recorded). *)
-
-val span_calls : t -> string -> int
-
-val counter : t -> string -> int
-(** Accumulated counter value (0 if never recorded). *)
-
-val spans : t -> (string * float * int) list
-(** Every recorded stage as [(name, total seconds, calls)], sorted by
-    name — deterministic whatever order domains recorded in. *)
-
-val counters : t -> (string * int) list
-(** Every counter as [(name, value)], sorted by name. *)
-
-val rate : t -> counter:string -> span:string -> float option
-(** [rate t ~counter ~span] is counter / span-seconds, or [None] when
-    either is missing or the span is zero.  E.g. requests simulated per
-    second of replay. *)
-
-val reset : t -> unit
-(** Drops all recorded spans and counters (the enabled flag is kept). *)
-
-val report : ?title:string -> t -> string
-(** Renders the spans (stage, calls, total s, mean ms) and counters as
-    text tables, with derived throughput lines for the conventional
-    pairs ([sim.requests]/[sim.replay], [trace.events]/[trace.gen]).
-    Rows are sorted by name, so two runs of the same workload differ
-    only in the timing columns whatever [--domains] was.  Returns [""]
-    when nothing was recorded. *)

@@ -8,11 +8,19 @@ type span = {
   args : (string * string) list;
 }
 
+type stage = { mutable total : float; mutable calls : int }
+
+(* Everything under one mutex.  Recording sites take it once per span,
+   counter bump or histogram merge — per run or per gap, never per
+   replayed request. *)
 type t = {
   mutex : Mutex.t;
-  mutable completed : span list; (* reverse completion order *)
+  stages : (string, stage) Hashtbl.t;
+  counters : (string, int ref) Hashtbl.t;
   histos : (string, Histo.t) Hashtbl.t;
+  mutable completed : span list; (* reverse completion order *)
   next_id : int Atomic.t;
+  mutable on_metrics : bool;
   mutable on_tracing : bool;
   mutable on_histograms : bool;
 }
@@ -25,14 +33,19 @@ let current_parent : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
 let create () =
   {
     mutex = Mutex.create ();
-    completed = [];
+    stages = Hashtbl.create 16;
+    counters = Hashtbl.create 16;
     histos = Hashtbl.create 16;
+    completed = [];
     next_id = Atomic.make 0;
+    on_metrics = false;
     on_tracing = false;
     on_histograms = false;
   }
 
 let global = create ()
+let set_metrics t b = t.on_metrics <- b
+let metrics_enabled t = t.on_metrics
 let set_tracing t b = t.on_tracing <- b
 let tracing t = t.on_tracing
 let set_histograms t b = t.on_histograms <- b
@@ -42,9 +55,16 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let span ?(metrics = Metrics.global) ?args t name f =
-  if not t.on_tracing then Metrics.span metrics name f
-  else begin
+(* Caller holds the lock. *)
+let add_stage t name dt =
+  match Hashtbl.find_opt t.stages name with
+  | Some s ->
+      s.total <- s.total +. dt;
+      s.calls <- s.calls + 1
+  | None -> Hashtbl.add t.stages name { total = dt; calls = 1 }
+
+let span ?args t name f =
+  if t.on_tracing then begin
     let id = Atomic.fetch_and_add t.next_id 1 in
     let parent = Domain.DLS.get current_parent in
     Domain.DLS.set current_parent id;
@@ -54,12 +74,31 @@ let span ?(metrics = Metrics.global) ?args t name f =
       ~finally:(fun () ->
         let t1 = Metrics.now () in
         Domain.DLS.set current_parent parent;
-        if Metrics.enabled metrics then Metrics.record_span metrics name (t1 -. t0);
         let args = match args with None -> [] | Some f -> f () in
         let record = { id; parent; track; name; t0; t1; args } in
-        locked t (fun () -> t.completed <- record :: t.completed))
+        locked t (fun () ->
+            if t.on_metrics then add_stage t name (t1 -. t0);
+            t.completed <- record :: t.completed))
       f
   end
+  else if t.on_metrics then begin
+    let t0 = Metrics.now () in
+    Fun.protect
+      ~finally:(fun () ->
+        let dt = Metrics.now () -. t0 in
+        locked t (fun () -> add_stage t name dt))
+      f
+  end
+  else f ()
+
+let add t name n =
+  if t.on_metrics then
+    locked t (fun () ->
+        match Hashtbl.find_opt t.counters name with
+        | Some r -> r := !r + n
+        | None -> Hashtbl.add t.counters name (ref n))
+
+let count t name = add t name 1
 
 let observe t name x =
   if t.on_histograms then
@@ -78,6 +117,19 @@ let merge_histogram t name src =
         | Some h -> Histo.merge_into ~into:h src
         | None -> Hashtbl.add t.histos name (Histo.copy src))
 
+let stages t =
+  locked t (fun () ->
+      Hashtbl.fold (fun k s acc -> (k, s.total, s.calls) :: acc) t.stages [])
+  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+
+let counters t =
+  locked t (fun () -> Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.counters [])
+  |> List.sort compare
+
+let counter t name =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0)
+
 let spans t =
   locked t (fun () -> t.completed)
   |> List.sort (fun a b -> compare a.id b.id)
@@ -89,12 +141,79 @@ let histograms t =
 
 let reset t =
   locked t (fun () ->
-      t.completed <- [];
-      Hashtbl.reset t.histos)
+      Hashtbl.reset t.stages;
+      Hashtbl.reset t.counters;
+      Hashtbl.reset t.histos;
+      t.completed <- [])
 
 (* --- rendering --- *)
 
 let qty = Printf.sprintf "%.6g"
+
+(* Conventional counter/stage pairs reported as throughputs. *)
+let throughputs =
+  [
+    ("requests simulated/s", "sim.requests", "sim.replay");
+    ("trace events generated/s", "trace.events", "trace.gen");
+  ]
+
+let metrics_report t =
+  let stages = stages t and counters = counters t in
+  if stages = [] && counters = [] then ""
+  else begin
+    let buf = Buffer.create 256 in
+    (if stages <> [] then begin
+       let tbl =
+         Table.create
+           ~title:"Metrics: per-stage wall time"
+           ~columns:
+             [
+               ("stage", Table.Left);
+               ("calls", Table.Right);
+               ("total(s)", Table.Right);
+               ("mean(ms)", Table.Right);
+             ]
+       in
+       (* Already name-sorted: rows must not depend on merge order or
+          relative timings, so --metrics output is stable across
+          --domains values. *)
+       List.iter
+         (fun (name, total, calls) ->
+           Table.add_row tbl
+             [
+               name;
+               string_of_int calls;
+               Table.cell_f3 total;
+               Table.cell_f3 (1000.0 *. total /. float_of_int calls);
+             ])
+         stages;
+       Buffer.add_string buf (Table.render tbl)
+     end);
+    (if counters <> [] then begin
+       let tbl =
+         Table.create
+           ~title:"Metrics: counters"
+           ~columns:[ ("counter", Table.Left); ("value", Table.Right) ]
+       in
+       List.iter
+         (fun (name, v) -> Table.add_row tbl [ name; string_of_int v ])
+         counters;
+       Buffer.add_char buf '\n';
+       Buffer.add_string buf (Table.render tbl)
+     end);
+    List.iter
+      (fun (label, c, s) ->
+        match
+          ( List.assoc_opt c counters,
+            List.find_opt (fun (name, _, _) -> name = s) stages )
+        with
+        | Some n, Some (_, dt, _) when n <> 0 && dt > 0.0 ->
+            Buffer.add_string buf
+              (Printf.sprintf "%s: %.0f\n" label (float_of_int n /. dt))
+        | _ -> ())
+      throughputs;
+    Buffer.contents buf
+  end
 
 let histogram_report ?(title = "Histograms") t =
   match histograms t with
@@ -142,6 +261,9 @@ let histograms_json t =
              ("p90", Json.Float (Histo.quantile h 90.0));
              ("p99", Json.Float (Histo.quantile h 99.0));
              ("max", Json.Float (Histo.max_value h));
+             (* The mergeable wire form: `dpmsim aggregate` combines a
+                sweep's per-run histograms from these. *)
+             ("buckets", Histo.to_json h);
            ])
        (histograms t))
 

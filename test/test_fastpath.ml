@@ -179,6 +179,27 @@ let test_histograms_equal () =
   Alcotest.(check bool) "histograms present" true (h_ref <> []);
   Alcotest.(check bool) "identical histograms" true (h_ref = h_fast)
 
+(* --- Fallback counter: a `Fast request the fast core cannot serve --- *)
+
+let test_fallback_counter () =
+  let trace = Gen.busy_trace ~think:0.02 ~n:50 ~ndisks:4 () in
+  let t = Telemetry.global in
+  let was_metrics = Telemetry.metrics_enabled t in
+  Telemetry.set_metrics t true;
+  Fun.protect
+    ~finally:(fun () -> Telemetry.set_metrics t was_metrics)
+    (fun () ->
+      let fallbacks config policy =
+        let before = Telemetry.counter t "sim.fallbacks" in
+        ignore
+          (Engine.run_stream ~config ~core:`Fast policy (Stream.of_trace trace));
+        Telemetry.counter t "sim.fallbacks" - before
+      in
+      Alcotest.(check int) "SSTF replay falls back once" 1
+        (fallbacks (Config.with_sched Config.Sstf Config.default) Policy.base);
+      Alcotest.(check int) "FCFS Base replay stays fast" 0
+        (fallbacks Config.default Policy.base))
+
 (* --- Allocation regression: the zero-allocation claim --- *)
 
 let words_per_event core policy trace =
@@ -322,6 +343,7 @@ let suite =
           test_supported_shapes;
         Alcotest.test_case "experiment run (1 vs 4 domains)" `Slow
           test_experiment_core_equiv;
+        Alcotest.test_case "fallbacks counted" `Quick test_fallback_counter;
         Alcotest.test_case "telemetry histograms equal" `Quick
           test_histograms_equal;
       ] );

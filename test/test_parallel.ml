@@ -5,7 +5,7 @@
    acceptance test). *)
 
 module Pool = Dpm_util.Pool
-module Metrics = Dpm_util.Metrics
+module Telemetry = Dpm_util.Telemetry
 module Scheme = Dpm_core.Scheme
 module Experiment = Dpm_core.Experiment
 
@@ -92,31 +92,37 @@ let test_fig3_grid_deterministic () =
     (Digest.to_hex (Digest.string (Marshal.to_string d1 [])))
     (Digest.to_hex (Digest.string (Marshal.to_string d4 [])))
 
-(* Metrics: domain-safe accumulation and report rendering. *)
+(* The registry's stages and counters: domain-safe accumulation and
+   report rendering. *)
 let test_metrics_concurrent () =
-  let m = Metrics.create () in
+  let t = Telemetry.create () in
+  Telemetry.set_metrics t true;
   ignore
     (Pool.map ~domains:4
        (fun i ->
-         Metrics.span m "work" (fun () -> Metrics.add m "items" i))
+         Telemetry.span t "work" (fun () -> Telemetry.add t "items" i))
        (List.init 100 (fun i -> i)));
-  Alcotest.(check int) "span calls" 100 (Metrics.span_calls m "work");
-  Alcotest.(check int) "counter total" 4950 (Metrics.counter m "items");
+  Alcotest.(check (list int)) "span calls" [ 100 ]
+    (List.map (fun (_, _, calls) -> calls) (Telemetry.stages t));
+  Alcotest.(check int) "counter total" 4950 (Telemetry.counter t "items");
   Alcotest.(check bool) "report renders" true
-    (String.length (Metrics.report m) > 0)
+    (String.length (Telemetry.metrics_report t) > 0)
 
 let test_metrics_disabled_is_noop () =
-  let m = Metrics.create ~enabled:false () in
+  let t = Telemetry.create () in
   Alcotest.(check int) "disabled span runs thunk" 3
-    (Metrics.span m "x" (fun () -> 3));
-  Metrics.count m "x";
-  Alcotest.(check int) "disabled counter" 0 (Metrics.counter m "x");
-  Alcotest.(check string) "empty report" "" (Metrics.report m);
-  Metrics.set_enabled m true;
-  Metrics.count m "x";
-  Alcotest.(check int) "re-enabled counter" 1 (Metrics.counter m "x");
-  Alcotest.(check bool) "rate needs both sides" true
-    (Metrics.rate m ~counter:"x" ~span:"missing" = None)
+    (Telemetry.span t "x" (fun () -> 3));
+  Telemetry.count t "x";
+  Alcotest.(check int) "disabled counter" 0 (Telemetry.counter t "x");
+  Alcotest.(check bool) "disabled span unrecorded" true (Telemetry.stages t = []);
+  Alcotest.(check string) "empty report" "" (Telemetry.metrics_report t);
+  Telemetry.set_metrics t true;
+  Telemetry.count t "x";
+  Alcotest.(check int) "re-enabled counter" 1 (Telemetry.counter t "x");
+  (* sim.requests without a sim.replay stage: no throughput line. *)
+  Telemetry.add t "sim.requests" 5;
+  Alcotest.(check bool) "throughput needs both sides" false
+    (String.contains (Telemetry.metrics_report t) '/')
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in

@@ -4,12 +4,14 @@
    (and Shutting_down after shutdown begins), a metered job's streamed
    sample integral must reproduce Result.energy to 1e-6 relative, the
    typed service errors must round-trip through JSON, and the Net layer
-   must carry a spec to a report over a real Unix socket. *)
+   must carry a spec to a report over a real Unix socket and outlive a
+   client that hangs up early. *)
 
 module Service = Dpm_core.Service
 module Run = Dpm_core.Run
 module Scheme = Dpm_core.Scheme
 module Json = Dpm_util.Json
+module Telemetry = Dpm_util.Telemetry
 
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
@@ -248,6 +250,44 @@ let test_net_round_trip () =
   Thread.join server;
   checkb "socket file removed" false (Sys.file_exists path)
 
+(* A client that submits and hangs up at once must not take the daemon
+   down: the reply frames are dropped, the job still completes, and the
+   next connection is served. *)
+let test_early_disconnect () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dpm-serve-drop-%d.sock" (Unix.getpid ()))
+  in
+  let address = Service.Net.Unix_path path in
+  let tele = Telemetry.global in
+  let dropped () = Telemetry.counter tele "service.dropped_connections" in
+  Telemetry.set_metrics tele true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_metrics tele false) @@ fun () ->
+  let before = dropped () in
+  let svc = Service.create ~domains:1 ~queue:4 () in
+  let server = Thread.create (fun () -> Service.Net.serve svc address) () in
+  (* Wait for the listener through the client's connect retries. *)
+  Service.Net.close (ok (Service.Net.connect address));
+  let spec = ok (Run.to_json (job_spec ~schemes:[ Scheme.Base ] "galgel")) in
+  let frame =
+    Json.to_string (Json.Obj [ ("op", Json.Str "submit"); ("spec", spec) ]) ^ "\n"
+  in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  ignore (Unix.write_substring fd frame 0 (String.length frame));
+  Unix.close fd;
+  (* The abandoned submit must be admitted before shutdown closes
+     admission. *)
+  while (let s = Service.stats svc in s.Service.queued + s.running + s.completed) = 0 do
+    Thread.delay 0.01
+  done;
+  let client = ok (Service.Net.connect address) in
+  ignore (ok (Service.Net.ping client));
+  check Alcotest.int "abandoned job completed" 1 (ok (Service.Net.shutdown client));
+  Service.Net.close client;
+  Thread.join server;
+  check Alcotest.int "one dropped connection" 1 (dropped () - before)
+
 let test_address_strings () =
   (match Service.Net.address_of_string "127.0.0.1:4000" with
   | Service.Net.Tcp { host = "127.0.0.1"; port = 4000 } -> ()
@@ -278,6 +318,8 @@ let suite =
         Alcotest.test_case "create validation" `Quick test_create_validation;
         Alcotest.test_case "net round-trip over a Unix socket" `Slow
           test_net_round_trip;
+        Alcotest.test_case "early disconnect leaves the daemon up" `Quick
+          test_early_disconnect;
         Alcotest.test_case "address strings" `Quick test_address_strings;
       ] );
   ]

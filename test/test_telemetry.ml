@@ -8,7 +8,6 @@ module Histo = Dpm_util.Histo
 module Telemetry = Dpm_util.Telemetry
 module Json = Dpm_util.Json
 module Log = Dpm_util.Log
-module Metrics = Dpm_util.Metrics
 module Stats = Dpm_util.Stats
 module Pool = Dpm_util.Pool
 module Scheme = Dpm_core.Scheme
@@ -330,20 +329,19 @@ let test_level_of_string () =
 (* --- metrics determinism (satellite: name-sorted report rows) --- *)
 
 let test_metrics_sorted () =
-  let m = Metrics.create () in
-  Metrics.record_span m "zeta" 0.5;
-  Metrics.record_span m "alpha" 0.25;
-  Metrics.record_span m "mid" 1.0;
-  Metrics.count m "z.counter";
-  Metrics.count m "a.counter";
+  let t = Telemetry.create () in
+  Telemetry.set_metrics t true;
+  List.iter (fun name -> Telemetry.span t name ignore) [ "zeta"; "alpha"; "mid" ];
+  Telemetry.count t "z.counter";
+  Telemetry.count t "a.counter";
   Alcotest.(check (list string))
-    "spans sorted by name"
+    "stages sorted by name"
     [ "alpha"; "mid"; "zeta" ]
-    (List.map (fun (n, _, _) -> n) (Metrics.spans m));
+    (List.map (fun (n, _, _) -> n) (Telemetry.stages t));
   Alcotest.(check (list string))
     "counters sorted by name"
     [ "a.counter"; "z.counter" ]
-    (List.map fst (Metrics.counters m))
+    (List.map fst (Telemetry.counters t))
 
 (* --- the governing invariant: telemetry never changes results --- *)
 
@@ -361,13 +359,13 @@ let test_observer_effect () =
   Telemetry.reset t;
   Telemetry.set_tracing t true;
   Telemetry.set_histograms t true;
-  let was_metrics = Metrics.enabled Metrics.global in
-  Metrics.set_enabled Metrics.global true;
+  let was_metrics = Telemetry.metrics_enabled t in
+  Telemetry.set_metrics t true;
   Fun.protect
     ~finally:(fun () ->
       Telemetry.set_tracing t false;
       Telemetry.set_histograms t false;
-      Metrics.set_enabled Metrics.global was_metrics;
+      Telemetry.set_metrics t was_metrics;
       Telemetry.reset t)
     (fun () ->
       let on = results_for () in
@@ -420,6 +418,33 @@ let test_report () =
         done;
         !found)
 
+(* Without a collector the registry-backed sections stay empty even
+   while the global registry holds rows: a service job's document must
+   not pick up its neighbours' stages. *)
+let test_document_without_collector () =
+  let t = Telemetry.global in
+  Telemetry.reset t;
+  Telemetry.set_metrics t true;
+  Fun.protect ~finally:(fun () ->
+      Telemetry.set_metrics t false;
+      Telemetry.reset t)
+  @@ fun () ->
+  Telemetry.span t "stage" (fun () -> Telemetry.count t "counter");
+  let rows ?telemetry key =
+    Dpm_core.Report.document ~label:"empty" ~mode:`Open
+      ~version:Dpm_compiler.Pipeline.Orig ~faults:Dpm_sim.Fault.none
+      ~sim:Dpm_sim.Config.default ?telemetry ~timeline_of:(fun _ -> assert false)
+      []
+    |> Json.member key
+    |> Fun.flip Option.bind Json.to_list
+    |> Option.map List.length
+  in
+  List.iter
+    (fun key -> Alcotest.(check (option int)) (key ^ " empty") (Some 0) (rows key))
+    [ "stages"; "counters"; "histograms" ];
+  Alcotest.(check (option int)) "stages from the registry" (Some 1)
+    (rows ~telemetry:t "stages")
+
 let test_bench_snapshot () =
   let doc =
     Dpm_core.Report.bench_snapshot
@@ -468,6 +493,8 @@ let suite =
           test_observer_effect;
         Alcotest.test_case "run report validates and round-trips" `Slow
           test_report;
+        Alcotest.test_case "report without a collector has empty stages"
+          `Quick test_document_without_collector;
         Alcotest.test_case "bench snapshot validates" `Quick
           test_bench_snapshot;
       ] );
