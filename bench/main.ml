@@ -183,7 +183,9 @@ let stream_mode () =
    structure-of-arrays loop — for one policy of each specialization
    kind.  Reports events/sec, the fast/reference speedup, and the fast
    core's minor-heap allocations per event (Gc.minor_words deltas), and
-   asserts the two cores return structurally identical results.  With
+   asserts the two cores return structurally identical results.  A
+   trace-gen row does the same for trace generation: the compiled walk
+   against the interpreted Enumerate oracle on mgrid.  With
    [--baseline FILE] it additionally compares against committed floors
    (see test/golden/bench_baseline.json) and fails on a >25%
    events/sec or speedup regression — the `make perf-check` CI gate. *)
@@ -298,6 +300,59 @@ let throughput_mode ~baseline () =
             ] ))
       schemes
   in
+  (* Trace generation: mgrid, the suite's largest iteration space,
+     through the compiled walk ([Generate.run]) and through the
+     interpreted Enumerate oracle on the same program.  [fast_eps] is
+     the compiled walk's events/sec, [speedup] its ratio over the
+     oracle; both must produce the same events. *)
+  let gen_row =
+    let p, plan =
+      Dpm_core.Experiment.workload (Dpm_workloads.Suite.find "mgrid")
+    in
+    let config =
+      {
+        Dpm_trace.Generate.default_config with
+        cache_blocks = Dpm_workloads.Suite.cache_blocks;
+      }
+    in
+    let walk () = Dpm_trace.Generate.run ~config p plan in
+    ignore (walk ());
+    let t0 = Metrics.now () in
+    let oracle_events, oracle_tail = Walk_oracle.generate ~config p plan in
+    let ref_s = Metrics.now () -. t0 in
+    let runs = 10 in
+    let minor0 = Gc.minor_words () and t0 = Metrics.now () in
+    for _ = 2 to runs do
+      ignore (walk ())
+    done;
+    let trace = walk () in
+    let fast_s = (Metrics.now () -. t0) /. float_of_int runs in
+    let minor1 = Gc.minor_words () in
+    let identical =
+      Array.to_list (Dpm_trace.Trace.events trace) = oracle_events
+      && Dpm_trace.Trace.tail_think trace = oracle_tail
+    in
+    if not identical then all_identical := false;
+    let fev = float_of_int (Dpm_trace.Trace.event_count trace) in
+    let fast_eps = fev /. fast_s and ref_eps = fev /. ref_s in
+    let words_per_event = (minor1 -. minor0) /. (fev *. float_of_int runs) in
+    Printf.printf
+      "== Trace generation (mgrid, %.0f events): compiled walk vs Enumerate \
+       oracle ==\n"
+      fev;
+    Printf.printf "  %-10s %12.0f %12.0f %8.1fx %12.3f %10b\n" "trace-gen"
+      ref_eps fast_eps (fast_eps /. ref_eps) words_per_event identical;
+    ( "trace-gen",
+      Obj
+        [
+          ("reference_eps", Float ref_eps);
+          ("fast_eps", Float fast_eps);
+          ("speedup", Float (fast_eps /. ref_eps));
+          ("minor_words_per_event", Float words_per_event);
+          ("identical", Bool identical);
+        ] )
+  in
+  let rows = rows @ [ gen_row ] in
   timings := ("throughput", Metrics.now () -. t_total0) :: !timings;
   throughput_section :=
     [
@@ -312,7 +367,8 @@ let throughput_mode ~baseline () =
   let rc = if !all_identical then 0 else 1 in
   if rc <> 0 then
     Dpm_util.Log.error ~scope:"bench"
-      "fast and reference cores disagree on the throughput workload";
+      "fast and reference cores (or the compiled walk and its oracle) \
+       disagree on the throughput workload";
   (* Baseline comparison: fail on >25% regression against the committed
      floors, for events/sec (machine-dependent — the floors are set
      conservatively) and for the fast/reference speedup (machine-

@@ -112,10 +112,12 @@ let of_item (p : Ir.Program.t) plan ~item =
 let of_program (p : Ir.Program.t) plan =
   List.mapi (fun item _ -> of_item p plan ~item) p.body
 
-let of_program_cached ?(cache_blocks = 192) (p : Ir.Program.t) plan =
+let of_program_cached
+    ?(cache_blocks = Dpm_trace.Generate.default_config.cache_blocks)
+    (p : Ir.Program.t) plan =
   let ndisks = Layout.Plan.ndisks plan in
   let closed x = invalid_arg ("Access: unbound iterator " ^ x) in
-  (* Shape of each item: (lo, step, iterations). *)
+  (* Shape of each item: (var, lo, step, iterations). *)
   let shapes =
     Array.of_list
       (List.map
@@ -130,43 +132,35 @@ let of_program_cached ?(cache_blocks = 192) (p : Ir.Program.t) plan =
                (Printf.sprintf "<item>", 0, 1, 1))
          p.body)
   in
+  let is_stmt =
+    Array.of_list
+      (List.map
+         (function
+           | Ir.Loop.Stmt _ -> true
+           | Ir.Loop.For _ | Ir.Loop.Call _ -> false)
+         p.body)
+  in
   let counts =
     Array.map
       (fun (_, _, _, n) -> Array.init ndisks (fun _ -> Array.make n 0))
       shapes
   in
-  let cache = Dpm_cache.Lru.create ~capacity:cache_blocks in
   let cur_ord = ref 0 in
-  let touch ~nest (r : Ir.Reference.t) env =
-    let idx = Ir.Reference.eval env r in
-    let u = Layout.Plan.element_unit plan r.array idx in
-    match Dpm_cache.Lru.access cache (r.array, u) with
-    | `Hit -> ()
-    | `Miss _ ->
-        let disk = Layout.Plan.unit_disk plan r.array u in
-        counts.(nest).(disk).(!cur_ord) <- counts.(nest).(disk).(!cur_ord) + 1
-  in
-  let callbacks =
+  Dpm_trace.Walk.run ~cache_blocks p plan
     {
-      Ir.Enumerate.on_enter =
-        (fun ~nest ~depth ~var:_ ~value ->
+      on_enter =
+        (fun ~nest ~depth ~value ->
           if depth = 0 then begin
             let _, lo, step, _ = shapes.(nest) in
             cur_ord := (value - lo) / step
           end);
-      on_stmt =
-        (fun ~nest s env ->
-          if
-            (match List.nth p.body nest with
-            | Ir.Loop.Stmt _ -> true
-            | Ir.Loop.For _ | Ir.Loop.Call _ -> false)
-          then cur_ord := 0;
-          List.iter (fun r -> touch ~nest r env) s.Ir.Stmt.reads;
-          Option.iter (fun w -> touch ~nest w env) s.Ir.Stmt.write);
-      on_call = (fun ~nest:_ _ _ -> ());
-    }
-  in
-  Ir.Enumerate.run callbacks p;
+      on_stmt = (fun ~nest ~cycles:_ -> if is_stmt.(nest) then cur_ord := 0);
+      on_miss =
+        (fun ~nest ~disk ~block:_ ~bytes:_ ~write:_ ->
+          let c = counts.(nest).(disk) in
+          c.(!cur_ord) <- c.(!cur_ord) + 1);
+      on_call = (fun ~nest:_ _ -> ());
+    };
   List.mapi
     (fun item _ ->
       let var, lo, step, iterations = shapes.(item) in

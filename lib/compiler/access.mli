@@ -41,7 +41,9 @@ val of_program_cached :
     and the cache policy (the paper's compiler likewise folds locality
     analysis and profiled execution into its DAP).  The purely static
     footprint of {!of_program} stays available for comparison and for
-    programs whose access sequence is not statically enumerable. *)
+    programs whose access sequence is not statically enumerable.
+    [cache_blocks] defaults to the trace generator's default, as in
+    {!Estimate.profile}; the miss stream is {!Dpm_trace.Walk}'s. *)
 
 val window_requests : t -> disk:int -> lo:int -> hi:int -> int
 (** Total requests a disk receives over an inclusive ordinal range. *)

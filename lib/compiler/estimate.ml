@@ -34,50 +34,36 @@ let item_slots (p : Ir.Program.t) =
       | Ir.Loop.Stmt _ | Ir.Loop.Call _ -> (1, 0, 1))
     p.body
 
-let profile ?(cost = Ir.Cost.default) ?(cache_blocks = 1024) ~specs
+(* The walk's clock state, in one all-float record so updates do not
+   box. *)
+type clock = { mutable now : float; mutable slot_start : float }
+
+let profile ?(cost = Ir.Cost.default)
+    ?(cache_blocks = Dpm_trace.Generate.default_config.cache_blocks) ~specs
     (p : Ir.Program.t) plan =
   let slots = Array.of_list (item_slots p) in
   let durations =
     Array.map (fun (n, _, _) -> Array.make n 0.0) slots
   in
-  let cache = Dpm_cache.Lru.create ~capacity:cache_blocks in
   let top = Dpm_disk.Rpm.max_level specs in
-  let clock = ref 0.0 in
+  let clock = { now = 0.0; slot_start = 0.0 } in
   let pending_cycles = ref 0 in
   (* Slot currently accumulating time. *)
-  let cur_item = ref 0 and cur_ord = ref 0 and slot_start = ref 0.0 in
+  let cur_item = ref 0 and cur_ord = ref 0 in
   let flush_cycles () =
-    clock := !clock +. Ir.Cost.seconds cost !pending_cycles;
+    clock.now <- clock.now +. Ir.Cost.seconds cost !pending_cycles;
     pending_cycles := 0
   in
   let close_slot () =
     flush_cycles ();
     durations.(!cur_item).(!cur_ord) <-
-      durations.(!cur_item).(!cur_ord) +. (!clock -. !slot_start);
-    slot_start := !clock
+      durations.(!cur_item).(!cur_ord) +. (clock.now -. clock.slot_start);
+    clock.slot_start <- clock.now
   in
-  let unit_bytes name u =
-    let entry = Layout.Plan.entry plan name in
-    let ss = entry.Layout.Plan.striping.Layout.Striping.stripe_size in
-    let file = Ir.Array_decl.size_bytes entry.Layout.Plan.decl in
-    min ss (file - (u * ss))
-  in
-  let touch (r : Ir.Reference.t) env =
-    let idx = Ir.Reference.eval env r in
-    let u = Layout.Plan.element_unit plan r.array idx in
-    match Dpm_cache.Lru.access cache (r.array, u) with
-    | `Hit -> ()
-    | `Miss _ ->
-        flush_cycles ();
-        clock :=
-          !clock
-          +. Dpm_disk.Service.request_time specs ~level:top
-               ~bytes:(unit_bytes r.array u)
-  in
-  let callbacks =
+  Dpm_trace.Walk.run ~cost ~cache_blocks p plan
     {
-      Ir.Enumerate.on_enter =
-        (fun ~nest ~depth ~var:_ ~value ->
+      on_enter =
+        (fun ~nest ~depth ~value ->
           if depth = 0 then begin
             close_slot ();
             let _, lo, step = slots.(nest) in
@@ -86,20 +72,21 @@ let profile ?(cost = Ir.Cost.default) ?(cache_blocks = 1024) ~specs
           end;
           pending_cycles := !pending_cycles + cost.loop_overhead);
       on_stmt =
-        (fun ~nest s env ->
+        (fun ~nest ~cycles ->
           if nest <> !cur_item then begin
             (* Top-level statement item. *)
             close_slot ();
             cur_item := nest;
             cur_ord := 0
           end;
-          pending_cycles := !pending_cycles + Ir.Cost.stmt_cycles cost s;
-          List.iter (fun r -> touch r env) s.Ir.Stmt.reads;
-          Option.iter (fun w -> touch w env) s.Ir.Stmt.write);
-      on_call = (fun ~nest:_ _ _ -> ());
-    }
-  in
-  Ir.Enumerate.run callbacks p;
+          pending_cycles := !pending_cycles + cycles);
+      on_miss =
+        (fun ~nest:_ ~disk:_ ~block:_ ~bytes ~write:_ ->
+          flush_cycles ();
+          clock.now <-
+            clock.now +. Dpm_disk.Service.request_time specs ~level:top ~bytes);
+      on_call = (fun ~nest:_ _ -> ());
+    };
   close_slot ();
   let starts, total = rebuild_starts durations in
   { durations; starts; total }

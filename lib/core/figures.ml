@@ -34,21 +34,21 @@ let render ~id ~title ~columns rows =
 
 let scheme_columns = List.map Scheme.name Scheme.all
 
-(* Shared per-benchmark runs under a setup derived per spec. *)
-let suite_results ?(mode = `Open) ?(version = Dpm_compiler.Pipeline.Orig)
-    ?(faults = Sim.Fault.none) () =
-  Pool.map
-    (fun (spec : Workloads.Suite.spec) ->
-      Dpm_util.Telemetry.span
-        ~args:(fun () -> [ ("bench", spec.Workloads.Suite.name) ])
-        Dpm_util.Telemetry.global "figure.bench"
-      @@ fun () ->
-      let p, plan = Experiment.workload spec in
-      let setup =
-        Experiment.make_setup ~noise:spec.noise ~mode ~version ~faults ()
-      in
-      (spec, Experiment.run_all ~setup p plan))
-    Workloads.Suite.all
+(* One task per suite benchmark under a setup derived per spec; each
+   task reduces its scheme results to its rows before it returns, so no
+   full [Result.t] (service intervals included) outlives its task. *)
+let bench_rows ?(mode = `Open) ?(faults = Sim.Fault.none) rows_of =
+  List.concat
+    (Pool.map
+       (fun (spec : Workloads.Suite.spec) ->
+         Dpm_util.Telemetry.span
+           ~args:(fun () -> [ ("bench", spec.Workloads.Suite.name) ])
+           Dpm_util.Telemetry.global "figure.bench"
+         @@ fun () ->
+         let p, plan = Experiment.workload spec in
+         let setup = Experiment.make_setup ~noise:spec.noise ~mode ~faults () in
+         rows_of spec (Experiment.run_all ~setup p plan))
+       Workloads.Suite.all)
 
 let table1 () =
   let specs = Sim.Config.default.Sim.Config.specs in
@@ -98,19 +98,19 @@ let table2 () =
 
 let grid ~id ~title ~metric ?mode ?faults () =
   let rows =
-    List.map
-      (fun ((spec : Workloads.Suite.spec), results) ->
+    bench_rows ?mode ?faults (fun spec results ->
         let base = List.assoc Scheme.Base results in
-        {
-          label = spec.name;
-          cells =
-            List.map
-              (fun s ->
-                let r = List.assoc s results in
-                (Scheme.name s, metric r base))
-              Scheme.all;
-        })
-      (suite_results ?mode ?faults ())
+        [
+          {
+            label = spec.name;
+            cells =
+              List.map
+                (fun s ->
+                  let r = List.assoc s results in
+                  (Scheme.name s, metric r base))
+                Scheme.all;
+          };
+        ])
   in
   render ~id ~title ~columns:scheme_columns rows
 
@@ -471,31 +471,21 @@ let knob_ablation () =
 
 let closed_loop_ablation () =
   let rows =
-    List.concat_map
-      (fun ((spec : Workloads.Suite.spec), results) ->
+    bench_rows ~mode:`Closed (fun spec results ->
         let base = List.assoc Scheme.Base results in
+        let row suffix metric =
+          {
+            label = spec.name ^ suffix;
+            cells =
+              List.map
+                (fun s -> (Scheme.name s, metric (List.assoc s results) ~base))
+                Scheme.all;
+          }
+        in
         [
-          {
-            label = spec.name ^ "/E";
-            cells =
-              List.map
-                (fun s ->
-                  ( Scheme.name s,
-                    Sim.Result.normalized_energy (List.assoc s results) ~base
-                  ))
-                Scheme.all;
-          };
-          {
-            label = spec.name ^ "/T";
-            cells =
-              List.map
-                (fun s ->
-                  ( Scheme.name s,
-                    Sim.Result.normalized_time (List.assoc s results) ~base ))
-                Scheme.all;
-          };
+          row "/E" Sim.Result.normalized_energy;
+          row "/T" Sim.Result.normalized_time;
         ])
-      (suite_results ~mode:`Closed ())
   in
   render ~id:"ablation-closed"
     ~title:

@@ -2,10 +2,12 @@
     order, delivering one event per statement execution and per
     power-management call.
 
-    This is the dynamic ground truth that both the trace generator and the
-    DAP validity tests are built on.  The walker maintains a single
-    mutable environment, so the [env] lookup passed to callbacks is only
-    valid during the callback. *)
+    This is the interpreted dynamic ground truth: the test oracle of the
+    compiled walk ([Dpm_trace.Walk]) that trace generation, access
+    analysis and the timing profile run on, and of the DAP validity
+    tests.  The walker maintains a single mutable environment, so the
+    [env] lookup passed to callbacks is only valid during the
+    callback. *)
 
 type callbacks = {
   on_enter : nest:int -> depth:int -> var:string -> value:int -> unit;

@@ -2,12 +2,12 @@ type config = { cost : Dpm_ir.Cost.model; cache_blocks : int }
 
 let default_config = { cost = Dpm_ir.Cost.default; cache_blocks = 1024 }
 
-(* Core loop-nest walk, parameterized over the event sink so the same
-   code (same LRU cache, same cost model, same emission order) backs
-   both the materializing [generate] and the chunked [stream].  Returns
-   the tail think time left pending after the last event. *)
-let walk ~config (p : Dpm_ir.Program.t) plan ~emit =
-  let cache = Dpm_cache.Lru.create ~capacity:config.cache_blocks in
+(* The trace is a fold over the compiled walk's callbacks,
+   parameterized over the event sink so the same code (same LRU cache,
+   same cost model, same emission order) backs both the materializing
+   [generate] and the chunked [stream].  Returns the tail think time
+   left pending after the last event. *)
+let walk ~config p plan ~emit =
   let pending_cycles = ref 0 in
   let current_iter = ref 0 in
   let flush_think () =
@@ -15,46 +15,29 @@ let walk ~config (p : Dpm_ir.Program.t) plan ~emit =
     pending_cycles := 0;
     t
   in
-  let unit_bytes name u =
-    let entry = Dpm_layout.Plan.entry plan name in
-    let ss = entry.Dpm_layout.Plan.striping.Dpm_layout.Striping.stripe_size in
-    let file = Dpm_ir.Array_decl.size_bytes entry.Dpm_layout.Plan.decl in
-    min ss (file - (u * ss))
-  in
-  let touch ~nest ~kind (r : Dpm_ir.Reference.t) env =
-    let idx = Dpm_ir.Reference.eval env r in
-    let u = Dpm_layout.Plan.element_unit plan r.array idx in
-    match Dpm_cache.Lru.access cache (r.array, u) with
-    | `Hit -> ()
-    | `Miss _ ->
-        emit
-          (Request.Io
-             {
-               think = flush_think ();
-               disk = Dpm_layout.Plan.unit_disk plan r.array u;
-               block = Dpm_layout.Plan.unit_global_block plan r.array u;
-               bytes = unit_bytes r.array u;
-               kind;
-               nest;
-               iter = !current_iter;
-             })
-  in
-  let callbacks =
+  Walk.run ~cost:config.cost ~cache_blocks:config.cache_blocks p plan
     {
-      Dpm_ir.Enumerate.on_enter =
-        (fun ~nest:_ ~depth ~var:_ ~value ->
+      on_enter =
+        (fun ~nest:_ ~depth ~value ->
           if depth = 0 then current_iter := value;
           pending_cycles := !pending_cycles + config.cost.loop_overhead);
       on_stmt =
-        (fun ~nest s env ->
-          pending_cycles :=
-            !pending_cycles + Dpm_ir.Cost.stmt_cycles config.cost s;
-          List.iter (fun r -> touch ~nest ~kind:Request.Read r env) s.reads;
-          Option.iter
-            (fun w -> touch ~nest ~kind:Request.Write w env)
-            s.write);
+        (fun ~nest:_ ~cycles -> pending_cycles := !pending_cycles + cycles);
+      on_miss =
+        (fun ~nest ~disk ~block ~bytes ~write ->
+          emit
+            (Request.Io
+               {
+                 think = flush_think ();
+                 disk;
+                 block;
+                 bytes;
+                 kind = (if write then Request.Write else Request.Read);
+                 nest;
+                 iter = !current_iter;
+               }));
       on_call =
-        (fun ~nest:_ call _env ->
+        (fun ~nest:_ call ->
           let directive =
             match call with
             | Dpm_ir.Loop.Spin_down d -> Request.Spin_down d
@@ -63,9 +46,7 @@ let walk ~config (p : Dpm_ir.Program.t) plan ~emit =
                 Request.Set_rpm { level; disk }
           in
           emit (Request.Pm { think = flush_think (); directive }));
-    }
-  in
-  Dpm_ir.Enumerate.run callbacks p;
+    };
   flush_think ()
 
 let generate ~config (p : Dpm_ir.Program.t) plan =

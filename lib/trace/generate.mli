@@ -2,9 +2,9 @@
     plan and a buffer cache, producing the I/O event stream the simulator
     replays (paper §4.1, "we implemented a trace generator").
 
-    Statements execute in program order; every array reference touches its
-    stripe unit in the LRU buffer cache, and only misses become disk
-    requests.  Compute cycles accumulate between misses according to the
+    Statements execute in program order ({!Walk}); every array reference
+    touches its stripe unit in the LRU buffer cache, and only misses
+    become disk requests.  Compute cycles accumulate between misses according to the
     cost model and are emitted as the next event's think time — this is
     the role the paper's measured `gethrtime` cycle estimates play.
     Power-management calls present in the (compiler-transformed) code are
@@ -25,8 +25,8 @@ val run :
   Dpm_ir.Program.t ->
   Dpm_layout.Plan.t ->
   Trace.t
-(** Generates the trace for one run.  Raises [Invalid_argument] if the
-    program references arrays missing from the plan.  Wall time is
+(** Generates the trace for one run.  Raises [Not_found] when a
+    reference to an array missing from the plan executes.  Wall time is
     recorded under the [trace.gen] span and the event count under the
     [trace.events] counter of {!Dpm_util.Telemetry.global} (a no-op
     unless its metrics are on). *)

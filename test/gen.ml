@@ -129,3 +129,137 @@ let config_print c =
        (Array.to_list (Array.map Dpm_disk.Specs.name_of c.Dpm_sim.Config.fleet)))
     (Dpm_sim.Config.sched_name c.Dpm_sim.Config.sched)
     c.Dpm_sim.Config.queue_depth
+
+(* --- Random loop nests for the compiled-walk differential suite --- *)
+
+module Ir = Dpm_ir
+module Plan = Dpm_layout.Plan
+module E = Dpm_ir.Expr
+
+(* A subscript for an extent [d] over the iterators in scope: an affine,
+   floor-divided or min/max combination, clamped into [0, d) with
+   [Min]/[Max] so the reference is always in range. *)
+let gen_subscript scope d =
+  QCheck2.Gen.(
+    let var = if scope = [] then return (E.Const 0) else map E.var (oneofl scope) in
+    let* core =
+      frequency
+        [
+          (2, map E.const (int_range (-1) 6));
+          (3, var);
+          (3, map2 (fun v k -> E.Add (v, E.Const k)) var (int_range (-2) 3));
+          (2, map2 (fun v k -> E.Sub (v, E.Const k)) var (int_range 0 2));
+          (2, map2 (fun k v -> E.Mul (k, v)) (int_range 1 3) var);
+          (2, map2 (fun v k -> E.Div (v, k)) var (int_range 1 3));
+          (1, map2 (fun a b -> E.Add (a, b)) var var);
+        ]
+    in
+    return (E.Max (E.Const 0, E.Min (core, E.Const (d - 1)))))
+
+let gen_reference decls scope =
+  QCheck2.Gen.(
+    let* (decl : Ir.Array_decl.t) = oneofl decls in
+    let+ indices = flatten_l (List.map (gen_subscript scope) decl.dims) in
+    Ir.Reference.make decl.name indices)
+
+let gen_stmt decls scope =
+  QCheck2.Gen.(
+    let* write = opt (gen_reference decls scope) in
+    let* reads =
+      list_size (int_range (if write = None then 1 else 0) 3) (gen_reference decls scope)
+    in
+    let+ work = int_range 0 50 in
+    Ir.Stmt.make ?write ~work reads)
+
+let gen_call ndisks =
+  QCheck2.Gen.(
+    let* disk = int_bound (ndisks - 1) in
+    oneofl
+      [
+        Ir.Loop.Spin_down disk;
+        Ir.Loop.Spin_up disk;
+        Ir.Loop.Set_rpm { level = disk mod 3; disk };
+      ])
+
+(* A loop at [depth] (iterator [i<depth>]); bounds may depend on the
+   enclosing iterator (triangular and min-clipped nests) and may give a
+   zero-trip loop. *)
+let rec gen_loop decls ndisks scope depth =
+  QCheck2.Gen.(
+    let var = Printf.sprintf "i%d" depth in
+    let outer = match scope with [] -> None | v :: _ -> Some (E.Var v) in
+    let* lo =
+      match outer with
+      | None -> map E.const (int_range 0 2)
+      | Some v -> oneof [ map E.const (int_range 0 2); return (E.Div (v, 2)) ]
+    in
+    let* hi =
+      match outer with
+      | None -> map E.const (int_range (-1) 5)
+      | Some v ->
+          oneof
+            [
+              map E.const (int_range (-1) 5);
+              map (fun k -> E.Min (E.Add (v, E.Const k), E.Const 5)) (int_range 0 2);
+            ]
+    in
+    let* step = int_range 1 2 in
+    let scope = var :: scope in
+    let node =
+      frequency
+        ([ (4, map (fun s -> Ir.Loop.Stmt s) (gen_stmt decls scope));
+           (1, map (fun c -> Ir.Loop.Call c) (gen_call ndisks)) ]
+        @
+        if depth < 2 then
+          [ (2, map (fun l -> Ir.Loop.For l) (gen_loop decls ndisks scope (depth + 1))) ]
+        else [])
+    in
+    let+ body = list_size (int_range 1 3) node in
+    Ir.Loop.for_ var ~step lo hi body)
+
+(* A program of 1-3 top-level items (mostly nests, sometimes a
+   constant-subscript statement or a call) over 1-3 row- or
+   column-major arrays striped over 1-4 disks, plus a cache size of 0-8
+   blocks. *)
+let gen_walk_case =
+  QCheck2.Gen.(
+    let* ndisks = int_range 1 4 in
+    let* shapes =
+      list_size (int_range 1 3)
+        (pair (list_size (int_range 1 3) (int_range 1 5)) (oneofl [ 256; 1024; 4096 ]))
+    in
+    let decls =
+      List.mapi
+        (fun i (dims, elem_size) ->
+          Ir.Array_decl.make ~name:(Printf.sprintf "A%d" i) ~dims ~elem_size)
+        shapes
+    in
+    let entry decl =
+      let* order = oneofl [ Plan.Row_major; Plan.Col_major ] in
+      let* start_disk = int_bound (ndisks - 1) in
+      let* stripe_factor = int_range 1 ndisks in
+      let+ stripe_size = oneofl [ 512; 2048; 8192 ] in
+      {
+        Plan.decl;
+        order;
+        striping = Dpm_layout.Striping.make ~start_disk ~stripe_factor ~stripe_size;
+      }
+    in
+    let* entries = flatten_l (List.map entry decls) in
+    let item =
+      frequency
+        [
+          (5, map (fun l -> Ir.Loop.For l) (gen_loop decls ndisks [] 0));
+          (1, map (fun s -> Ir.Loop.Stmt s) (gen_stmt decls []));
+          (1, map (fun c -> Ir.Loop.Call c) (gen_call ndisks));
+        ]
+    in
+    let* body = list_size (int_range 1 3) item in
+    let+ cache_blocks = int_range 0 8 in
+    ( Ir.Program.make ~name:"rand" ~arrays:decls ~body,
+      Plan.make ~ndisks entries,
+      cache_blocks ))
+
+let walk_case_print (p, plan, cache_blocks) =
+  Format.asprintf "%s@.%a@.cache_blocks=%d" (Ir.Printer.program p) Plan.pp plan
+    cache_blocks

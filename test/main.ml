@@ -8,4 +8,5 @@ let () =
    @ Test_fault.suite @ Test_oracle.suite @ Test_timeline.suite
    @ Test_golden.suite @ Test_telemetry.suite @ Test_stream.suite
    @ Test_fastpath.suite @ Test_sweep.suite @ Test_sched.suite
-   @ Test_meter.suite @ Test_openloop.suite @ Test_serve.suite)
+   @ Test_meter.suite @ Test_openloop.suite @ Test_serve.suite
+   @ Test_walk.suite)

@@ -4,16 +4,16 @@ module Lru = Dpm_cache.Lru
 
 let test_hit_miss_basic () =
   let c = Lru.create ~capacity:2 in
-  (match Lru.access c "a" with `Miss None -> () | _ -> Alcotest.fail "cold a");
-  (match Lru.access c "a" with `Hit -> () | _ -> Alcotest.fail "hit a");
-  (match Lru.access c "b" with `Miss None -> () | _ -> Alcotest.fail "cold b");
-  (* Cache full: c evicts the least recently used, which is a. *)
-  (match Lru.access c "c" with
-  | `Miss (Some "a") -> ()
-  | _ -> Alcotest.fail "evict a");
-  match Lru.access c "a" with
-  | `Miss (Some "b") -> ()
-  | _ -> Alcotest.fail "a was evicted, b is now LRU"
+  (match Lru.access c 10 with `Miss None -> () | _ -> Alcotest.fail "cold 10");
+  (match Lru.access c 10 with `Hit -> () | _ -> Alcotest.fail "hit 10");
+  (match Lru.access c 11 with `Miss None -> () | _ -> Alcotest.fail "cold 11");
+  (* Cache full: 12 evicts the least recently used, which is 10. *)
+  (match Lru.access c 12 with
+  | `Miss (Some 10) -> ()
+  | _ -> Alcotest.fail "evict 10");
+  match Lru.access c 10 with
+  | `Miss (Some 11) -> ()
+  | _ -> Alcotest.fail "10 was evicted, 11 is now LRU"
 
 let test_promotion () =
   let c = Lru.create ~capacity:2 in
@@ -27,8 +27,8 @@ let test_promotion () =
 
 let test_zero_capacity () =
   let c = Lru.create ~capacity:0 in
-  (match Lru.access c "x" with `Miss None -> () | _ -> Alcotest.fail "miss");
-  (match Lru.access c "x" with
+  (match Lru.access c 7 with `Miss None -> () | _ -> Alcotest.fail "miss");
+  (match Lru.access c 7 with
   | `Miss None -> ()
   | _ -> Alcotest.fail "still a miss");
   Alcotest.(check int) "length" 0 (Lru.length c)
@@ -58,6 +58,21 @@ let test_mem_does_not_promote () =
 let test_negative_capacity () =
   Alcotest.check_raises "negative" (Invalid_argument "Lru.create: negative capacity")
     (fun () -> ignore (Lru.create ~capacity:(-1)))
+
+(* Hits promote by rewriting int arrays only: a warm cache serves 10^5
+   of them without a single minor-heap word. *)
+let test_warm_hits_allocate_nothing () =
+  let c = Lru.create ~capacity:64 in
+  for k = 0 to 63 do
+    ignore (Lru.touch c (k * 1000))
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 1 to 100_000 do
+    if not (Lru.touch c (i * 7 land 63 * 1000)) then Alcotest.fail "miss"
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 (w1 -. w0);
+  Alcotest.(check int) "hits" 100_000 (Lru.hits c)
 
 (* Reference LRU on lists, for differential testing. *)
 module Reference_lru = struct
@@ -105,6 +120,28 @@ let qcheck_lru_matches_reference =
           | _ -> false)
         keys)
 
+(* Block numbers are sparse: draw keys from a small pool of wide,
+   negative and colliding values so the probe runs and backward-shift
+   deletions of the hash table get exercised. *)
+let qcheck_lru_scattered_keys =
+  QCheck2.Test.make ~count:200 ~name:"lru: matches reference on scattered keys"
+    QCheck2.Gen.(
+      let* pool = array_size (int_range 1 12) (int_range (-1_000_000) 1_000_000) in
+      let* cap = int_range 1 8 in
+      let+ picks = list_size (int_bound 300) (int_bound (Array.length pool - 1)) in
+      (cap, List.map (fun i -> pool.(i) * 1024) picks))
+    (fun (cap, keys) ->
+      let fast = Lru.create ~capacity:cap in
+      let slow = Reference_lru.create cap in
+      List.for_all
+        (fun k ->
+          (match (Lru.access fast k, Reference_lru.access slow k) with
+          | `Hit, `Hit -> true
+          | `Miss a, `Miss b -> a = b
+          | _ -> false)
+          && Lru.length fast = List.length slow.items)
+        keys)
+
 let qcheck_lru_capacity_invariant =
   QCheck2.Test.make ~count:200 ~name:"lru: never exceeds capacity"
     QCheck2.Gen.(
@@ -145,7 +182,10 @@ let suite =
         Alcotest.test_case "counters/clear" `Quick test_counters_and_clear;
         Alcotest.test_case "mem does not promote" `Quick test_mem_does_not_promote;
         Alcotest.test_case "negative capacity" `Quick test_negative_capacity;
+        Alcotest.test_case "warm hits allocate nothing" `Quick
+          test_warm_hits_allocate_nothing;
         q qcheck_lru_matches_reference;
+        q qcheck_lru_scattered_keys;
         q qcheck_lru_capacity_invariant;
         q qcheck_lru_hit_monotone_in_capacity;
       ] );

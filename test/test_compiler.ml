@@ -559,6 +559,32 @@ let test_pipeline_compile_smoke () =
     compiled.Pipeline.estimate.Estimate.total
     compiled.Pipeline.profile.Estimate.total
 
+(* Without [?cache_blocks], the access analysis and the timing profile
+   must both model the trace generator's default cache: a 400-unit array
+   read twice stays resident in 1,024 blocks but not in 192. *)
+let test_pipeline_compile_default_cache () =
+  let p =
+    parse
+      {|
+array A[400] : 65536
+for i = 0 to 399 { use A[i] work 1000000 }
+for s = 0 to 3 { for i = 0 to 399 { use A[i] work 1000000 } }
+|}
+  in
+  let plan = Plan.uniform ~ndisks:8 p in
+  let default = Pipeline.compile ~scheme:Insertion.Tpm ~specs p plan
+  and sized =
+    Pipeline.compile ~scheme:Insertion.Tpm ~specs
+      ~cache_blocks:Dpm_trace.Generate.default_config.cache_blocks p plan
+  in
+  Alcotest.(check bool) "same DAP" true (default.Pipeline.dap = sized.Pipeline.dap);
+  Alcotest.(check bool) "same program" true
+    (default.Pipeline.program = sized.Pipeline.program);
+  Alcotest.(check bool) "same decisions" true
+    (default.Pipeline.decisions = sized.Pipeline.decisions);
+  Alcotest.(check bool) "same profile" true
+    (default.Pipeline.profile = sized.Pipeline.profile)
+
 let suite =
   [
     ( "compiler.access",
@@ -625,5 +651,7 @@ let suite =
       [
         Alcotest.test_case "versions" `Quick test_pipeline_versions;
         Alcotest.test_case "compile smoke" `Quick test_pipeline_compile_smoke;
+        Alcotest.test_case "compile default cache" `Quick
+          test_pipeline_compile_default_cache;
       ] );
   ]
